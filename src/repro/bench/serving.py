@@ -4,7 +4,7 @@ N client threads each run a private shuffled copy of the WatDiv Basic query
 mix through one :class:`~repro.serve.scheduler.QueryScheduler` in a closed
 loop (submit → await result → next query), at 1, 4 and 16 concurrent
 clients.  The scheduler executes on a persisted dataset in
-``execution_mode="process"`` — whole queries dispatch to the partition worker
+``execution_mode="process"`` — whole queries dispatch to the query worker
 pool, so concurrent clients actually run on multiple cores instead of
 time-slicing the GIL.
 
@@ -215,7 +215,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description="Closed-loop multi-client serving benchmark")
     parser.add_argument("--scale", type=float, default=20.0, help="WatDiv-like scale factor")
     parser.add_argument(
-        "--workers", type=int, default=None, help="partition worker processes (default: auto)"
+        "--workers", type=int, default=None, help="query worker processes (default: auto)"
     )
     parser.add_argument(
         "--smoke",

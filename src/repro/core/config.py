@@ -6,7 +6,7 @@ configuration is now four nested dataclasses composed on
 :class:`SessionConfig`:
 
 * :class:`ExecutionConfig` — how a single query executes (engine, partitions,
-  join thresholds, adaptive execution, vectorization, process workers);
+  join thresholds, adaptive execution, vectorization, where queries run);
 * :class:`StoreConfig` — what the data layout materialises and how the
   persistent store compacts;
 * :class:`ObservabilityConfig` — tracing and the workload journal;
@@ -41,10 +41,9 @@ from repro.engine.runtime import (
 #: Engines a session can execute plans on.
 VALID_ENGINES = ("native", "sqlite")
 
-#: How the parallel runtime runs partition tasks: ``"thread"`` uses the
-#: in-process pool (always available), ``"process"`` dispatches join tasks to
-#: the persistent partition worker pool (requires a stored dataset; ephemeral
-#: sessions silently keep the thread pool as fallback).
+#: Where whole queries run: ``"thread"`` in the session's own process
+#: (always available), ``"process"`` on the persistent worker pool of the
+#: session's stored dataset (ephemeral sessions run in-process until saved).
 VALID_EXECUTION_MODES = ("thread", "process")
 
 #: What :meth:`~repro.serve.scheduler.QueryScheduler.submit` does when the
@@ -84,12 +83,12 @@ class ExecutionConfig:
     #: Multiplier applied to data-proportional execution counters before the
     #: cost model converts them to a simulated runtime.
     work_scale: float = 1.0
-    #: ``"thread"`` (default) or ``"process"``: where partition join tasks
-    #: run.  Process mode sidesteps the GIL by dispatching tasks to the
-    #: persistent worker pool of the session's stored dataset; sessions
-    #: without a dataset fall back to the thread pool.
+    #: ``"thread"`` (default) or ``"process"``: where whole queries run.
+    #: Process mode sidesteps the GIL by running each query on a worker of
+    #: the session's stored dataset pool (joins inside a query stay on that
+    #: worker's threads); sessions without a dataset run queries in-process.
     execution_mode: str = "thread"
-    #: Processes in the partition worker pool (``None`` = a small default
+    #: Processes in the query worker pool (``None`` = a small default
     #: derived from the machine's CPU count).
     worker_processes: Optional[int] = None
 

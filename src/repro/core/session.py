@@ -26,7 +26,7 @@ import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Union
 
 from repro.core.compiler import CompiledQuery, QueryCompiler
 from repro.core.config import (
@@ -93,10 +93,23 @@ __all__ = [
 _QUEUE_WAIT_MS: ContextVar[Optional[float]] = ContextVar("s2rdf_queue_wait_ms", default=None)
 
 
+class _Run(NamedTuple):
+    """One pass of the local query pipeline and what it saw on the way."""
+
+    result: QueryResult
+    compiled: CompiledQuery
+    parsed: Query
+    #: Per-node estimates, captured only for ``explain_analyze``.
+    estimates: Optional[Dict[int, int]]
+    #: The planner's root estimate, captured before execution when the query
+    #: will be journaled (here or, for a worker, in the parent).
+    root_estimate: Optional[int]
+
+
 class _ReadWriteLock:
     """Many concurrent readers (queries) xor one writer (store mutation).
 
-    Queries hold the read side for their whole parse→execute→journal
+    Local queries hold the read side for their whole parse→execute→journal
     pipeline, so each one sees exactly one manifest snapshot and its journal
     record's epoch is the epoch it actually read.  ``append_triples``,
     ``compact`` and ``save_dataset`` take the write side, which also makes
@@ -237,7 +250,6 @@ class S2RDFSession:
                 metrics_registry=self.metrics,
                 broadcast_memory_limit=self.config.broadcast_memory_limit,
                 vectorized=self.config.vectorized_enabled,
-                worker_pool=self._process_pool,
             )
             self._thread_runtime.executor = runtime
             with self._runtime_lock:
@@ -258,11 +270,11 @@ class S2RDFSession:
         return runtime
 
     def _process_pool(self):
-        """The partition worker pool, or ``None`` outside process mode.
+        """The query worker pool, or ``None`` outside process mode.
 
         Process mode needs a persisted dataset (workers re-open it read-only);
         an ephemeral session configured with ``execution_mode="process"``
-        silently keeps the thread pool until :meth:`save_dataset` runs.
+        runs its queries in-process until :meth:`save_dataset` runs.
         """
         if self.config.execution_mode != "process" or self.dataset_path is None:
             return None
@@ -397,7 +409,7 @@ class S2RDFSession:
         With ``tracing_enabled`` the cold open itself appears on the trace
         timeline as a ``store.open`` span.  Like :meth:`from_graph`, accepts
         either ``config=`` or flat knobs; ``execution_mode="process"`` starts
-        the dataset's partition worker pool eagerly, before any query thread
+        the dataset's query worker pool eagerly, before any query thread
         exists (the fork-safe moment to spawn workers).
         """
         if config is not None and knobs:
@@ -563,8 +575,44 @@ class S2RDFSession:
         return self.compile(query).sql()
 
     def query(self, query: Union[str, Query]) -> QueryResult:
-        """Parse, compile and execute a SPARQL query."""
-        result, _, _ = self._run(query)
+        """Parse, compile and execute a SPARQL query.
+
+        In process mode the whole query runs on a worker of the dataset's
+        :class:`~repro.serve.workers.PartitionWorkerPool`; either way this
+        session records it once, in its registry and its journal.
+        """
+        pool = self._process_pool()
+        if pool is None:
+            return self._run(query).result
+        return self._query_on_worker(pool, query)
+
+    def _query_on_worker(self, pool, query: Union[str, Query]) -> QueryResult:
+        """Run ``query`` on a pool worker, then record it in this process.
+
+        The store read lock is not held across the round trip: the worker
+        reads its own committed manifest snapshot and reports the epoch it
+        read, so a concurrent append is not serialized behind remote queries.
+        Observed cardinalities travel both ways, keyed on that epoch.
+        """
+        catalog = self.layout.catalog
+        outcome = pool.run_query(
+            query, epoch=self._journal_epoch, observed=dict(catalog._observed)
+        )
+        result: QueryResult = outcome["result"]
+        # Feedback is only valid for the epoch it was observed at: after a
+        # concurrent append it describes data the manifest no longer holds.
+        # The check takes no lock, so appends never wait on remote queries;
+        # a refresh racing it can at worst leave a planning hint, never rows.
+        if outcome["epoch"] == self._journal_epoch:
+            for name, rows in outcome["observed"].items():
+                catalog.record_observed(name, rows)
+        self._record_query_metrics(result)
+        self._journal_query(
+            result,
+            outcome["estimated_rows"],
+            template=outcome["template"],
+            fingerprint=outcome["fingerprint"],
+        )
         return result
 
     def serve(self, serving: Optional["ServingConfig"] = None) -> "QueryScheduler":
@@ -589,7 +637,8 @@ class S2RDFSession:
         carries both the rendered report (``str(...)``) and the full
         :class:`~repro.core.results.QueryResult`.
         """
-        result, compiled, estimates = self._run(query, capture_estimates=True)
+        run = self._run(query, capture_estimates=True)
+        result = run.result
         if self.config.engine == "sqlite":
             # The SQLite engine runs the plan as one statement: observations
             # exist only at the root, and there is no physical join planning.
@@ -605,8 +654,8 @@ class S2RDFSession:
                 self.executor.adaptive.replan_events if self.executor.adaptive is not None else ()
             )
         tree = render_explain_analyze(
-            compiled.plan,
-            estimates or {},
+            run.compiled.plan,
+            run.estimates or {},
             node_stats,
             exchange_stats,
             physical,
@@ -628,22 +677,26 @@ class S2RDFSession:
         return ExplainAnalyzeResult(result=result, text="\n".join(lines))
 
     def _run(
-        self, query: Union[str, Query], capture_estimates: bool = False
-    ) -> Tuple[QueryResult, CompiledQuery, Optional[Dict[int, int]]]:
-        """The traced query pipeline: parse → compile → plan → execute → render.
+        self,
+        query: Union[str, Query],
+        capture_estimates: bool = False,
+        estimate_root: bool = False,
+    ) -> _Run:
+        """The traced local pipeline: parse → compile → plan → execute → render.
 
         The whole pipeline holds the store lock's *read* side: concurrent
         queries proceed together, but an ``append_triples``/``compact`` on
         another thread waits for in-flight queries and queries wait for it —
         so every query (and its journal record) sees exactly one manifest
-        epoch.
+        epoch.  ``estimate_root`` captures the root estimate even without a
+        journal here (a worker returns it to the parent, which journals).
         """
         with self._store_lock.read_locked():
-            return self._run_locked(query, capture_estimates)
+            return self._run_locked(query, capture_estimates, estimate_root)
 
     def _run_locked(
-        self, query: Union[str, Query], capture_estimates: bool = False
-    ) -> Tuple[QueryResult, CompiledQuery, Optional[Dict[int, int]]]:
+        self, query: Union[str, Query], capture_estimates: bool, estimate_root: bool
+    ) -> _Run:
         total_start = time.perf_counter()
         epoch = self._journal_epoch
         phase_ms: Dict[str, float] = {}
@@ -671,7 +724,7 @@ class S2RDFSession:
             )
             # Journal records carry the root estimate (for the q-error field);
             # like the full estimate capture, it must precede execution.
-            if self.journal is not None:
+            if self.journal is not None or estimate_root:
                 root_estimate = (
                     estimates[id(compiled.plan)]
                     if estimates is not None
@@ -734,17 +787,23 @@ class S2RDFSession:
                 )
             root.set(rows=len(relation))
         self._record_query_metrics(result)
-        self._journal_query(parsed, result, root_estimate)
-        return result, compiled, estimates
+        self._journal_query(result, root_estimate, parsed=parsed)
+        return _Run(result, compiled, parsed, estimates, root_estimate)
 
     def _journal_query(
-        self, parsed: Query, result: QueryResult, root_estimate: Optional[int]
+        self,
+        result: QueryResult,
+        root_estimate: Optional[int],
+        parsed: Optional[Query] = None,
+        template: str = "",
+        fingerprint: str = "",
     ) -> None:
         """Append one workload-journal record for an executed query.
 
-        The fingerprint is left empty and the parsed algebra handed along, so
-        the journal renders the template and fingerprint itself (see
-        :meth:`~repro.obs.journal.QueryJournal.append`).
+        A local query hands over its parsed algebra with an empty fingerprint,
+        so the journal renders the template and fingerprint itself (see
+        :meth:`~repro.obs.journal.QueryJournal.append`); a worker-executed one
+        brings the template and fingerprint its worker rendered.
         """
         journal = self.journal
         if journal is None:
@@ -756,11 +815,11 @@ class S2RDFSession:
         rows = len(result.relation)
         journal.append(
             JournalRecord(
-                fingerprint="",
-                template="",
+                fingerprint=fingerprint,
+                template=template,
                 # The epoch the query actually read (captured at pipeline
-                # start under the read lock), not whatever the store advanced
-                # to by the time this record is written.
+                # start, here or in its worker), not whatever the store
+                # advanced to by the time this record is written.
                 epoch=result.epoch,
                 queue_ms=_QUEUE_WAIT_MS.get(),
                 rows=rows,

@@ -21,7 +21,7 @@ single machine:
   hash partitioning, shuffle/broadcast join strategies, adaptive re-planning
   from observed sizes (:class:`~repro.engine.runtime.AdaptivePlanner`) and
   the :class:`~repro.engine.runtime.ParallelExecutor` that runs per-partition
-  join tasks on a worker pool.
+  join tasks on a thread pool.
 """
 
 from repro.engine.relation import Relation

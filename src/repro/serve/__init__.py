@@ -1,4 +1,4 @@
-"""Concurrent serving: process partition workers + the async query scheduler.
+"""Concurrent serving: process query workers + the async query scheduler.
 
 ``repro.serve`` turns a single-query session into a small query server:
 
@@ -12,7 +12,9 @@
             rows = [h.result(timeout=30).bindings for h in handles]
             print(scheduler.stats())  # p50/p99 latency, completions
 
-See :mod:`repro.serve.scheduler` for admission control and
+In process mode every query — submitted or called directly with
+``session.query()`` — runs whole on a worker process; the session records it
+once either way.  See :mod:`repro.serve.scheduler` for admission control and
 :mod:`repro.serve.workers` for the process worker pool.
 """
 

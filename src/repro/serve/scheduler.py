@@ -22,11 +22,13 @@ with submit/await semantics:
   :meth:`prewarm` decodes broadcast-sized stored tables once per epoch so
   concurrent queries share the warm build sides instead of racing to decode.
 
-Thread mode executes queries on the shared session (its per-thread executors
-make that safe); process mode ships whole queries to the dataset's
-:class:`~repro.serve.workers.PartitionWorkerPool` — true multi-core execution
-— and journals each record in the parent so the dataset keeps one workload
-journal.
+Every dispatch is one :meth:`~repro.core.session.S2RDFSession.query` call,
+so the session's execution mode decides where the query runs: thread mode
+executes it on the shared session (its per-thread executors make that safe),
+process mode on a worker of the dataset's
+:class:`~repro.serve.workers.PartitionWorkerPool` — true multi-core execution.
+Either way the session records the query once, so the dataset keeps one
+registry and one workload journal.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from repro.core.config import ServingConfig
 from repro.core.session import _QUEUE_WAIT_MS, S2RDFSession
 from repro.core.results import QueryResult
 from repro.engine.runtime.partitioned import BYTES_PER_VALUE
-from repro.obs.journal import JournalRecord
 
 
 class AdmissionError(RuntimeError):
@@ -241,54 +242,13 @@ class QueryScheduler:
             handle._complete(result, error)
 
     def _execute(self, handle: QueryHandle) -> QueryResult:
-        pool = self.session._process_pool()
-        if pool is None:
-            # Thread mode: run on the shared session; the contextvar carries
-            # the queue wait into the session's journal record.
-            token = _QUEUE_WAIT_MS.set(handle.queue_ms)
-            try:
-                return self.session.query(handle.query_text)
-            finally:
-                _QUEUE_WAIT_MS.reset(token)
-        return self._execute_remote(pool, handle)
-
-    def _execute_remote(self, pool, handle: QueryHandle) -> QueryResult:
-        """Process mode: ship the whole query to a worker, share what it saw."""
-        session = self.session
-        epoch = session._journal_epoch
-        observed = dict(session.layout.catalog._observed)
-        outcome = pool.run_query(handle.query_text, epoch=epoch, observed=observed)
-        result: QueryResult = outcome["result"]
-        # Cardinality feedback is only valid for the epoch it was observed
-        # at — a concurrent append makes it describe data that no longer
-        # matches the manifest.
-        if outcome["epoch"] == session._journal_epoch:
-            for name, rows in outcome["observed"].items():
-                session.layout.catalog.record_observed(name, rows)
-        if session.journal is not None:
-            metrics = result.metrics
-            session.journal.append(
-                JournalRecord(
-                    fingerprint=outcome["fingerprint"],
-                    template=outcome["template"],
-                    epoch=result.epoch,
-                    rows=len(result.relation),
-                    wall_ms=result.wall_clock_ms,
-                    phase_ms=dict(result.phase_ms),
-                    scanned_tables=dict(metrics.scanned_tables),
-                    aqe_replans=metrics.aqe_replans,
-                    aqe_skew_splits=metrics.aqe_skew_splits,
-                    broadcast_guard_trips=metrics.broadcast_guard_trips,
-                    segments_scanned=metrics.store_segments_scanned,
-                    segments_pruned=metrics.store_segments_pruned,
-                    shuffled_bytes=metrics.shuffled_bytes,
-                    broadcast_bytes=metrics.broadcast_bytes,
-                    statically_empty=result.statically_empty,
-                    engine=result.engine,
-                    queue_ms=handle.queue_ms,
-                )
-            )
-        return result
+        # The contextvar carries the queue wait into the session's journal
+        # record, in thread and process mode alike.
+        token = _QUEUE_WAIT_MS.set(handle.queue_ms)
+        try:
+            return self.session.query(handle.query_text)
+        finally:
+            _QUEUE_WAIT_MS.reset(token)
 
     # ------------------------------------------------------------------ #
     # Broadcast prewarm
@@ -308,10 +268,11 @@ class QueryScheduler:
 
         Without an explicit list, every stored table whose manifest row count
         estimates below the session's broadcast threshold qualifies — the
-        build sides broadcast joins will ship.  Thread mode warms the shared
-        catalog's decode cache; process mode additionally asks the worker
-        pool to warm its per-process segment caches.  Best effort: failures
-        warm nothing but never fail a query.
+        build sides broadcast joins will ship.  Tables are warmed only where
+        queries run: thread mode decodes into the shared catalog's cache,
+        process mode asks the worker pool to warm its per-process segment
+        caches and decodes nothing in the parent.  Best effort: failures warm
+        nothing but never fail a query.
         """
         catalog = self.session.layout.catalog
         if tables is None:
@@ -322,16 +283,18 @@ class QueryScheduler:
                 if catalog.is_stored(name) and 0 < statistics.row_count <= threshold_rows
             ]
         warmed = 0
-        for name in tables:
-            try:
-                catalog.table(name)  # decodes once; later queries hit the cache
-                warmed += 1
-            except Exception:  # pragma: no cover - best effort
-                continue
         pool = self.session._process_pool()
-        if pool is not None and tables:
+        if pool is None:
+            for name in tables:
+                try:
+                    catalog.table(name)  # decodes once; later queries hit the cache
+                    warmed += 1
+                except Exception:  # pragma: no cover - best effort
+                    continue
+        elif tables:
             try:
                 pool.warm_tables(tables, epoch=epoch)
+                warmed = len(tables)
             except Exception:  # pragma: no cover - best effort
                 pass
         if warmed:

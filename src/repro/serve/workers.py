@@ -1,51 +1,37 @@
-"""Process-based partition workers.
+"""Process-based query workers.
 
-The thread-pool runtime keeps every join task under the GIL; this module
-provides the process-parallel alternative: a persistent
-:class:`PartitionWorkerPool` (a thin policy layer over
-``concurrent.futures.ProcessPoolExecutor``) whose workers execute three task
-kinds:
+:class:`PartitionWorkerPool` is a thin policy layer over
+``concurrent.futures.ProcessPoolExecutor`` whose workers run two task kinds:
 
-* **join tasks** — one co-partitioned pair per task, shipped as serialized
-  row relations or id :class:`~repro.engine.vectorized.ColumnBatch` columns
-  (8 bytes/value — the PR 9 kernel is what makes cross-process shipping
-  cheap).  Used by :class:`~repro.engine.runtime.executor.ParallelExecutor`
-  when ``execution_mode="process"`` (intra-query parallelism).
-* **scan tasks** — decode one table (projection + equality pushdown) inside
-  the worker, warming its segment caches.  The scheduler uses these to
-  pre-warm broadcast-sized tables across the pool.
-* **query tasks** — parse/compile/execute one whole SPARQL query on the
-  worker's own read-only session (inter-query parallelism: this is what
-  scales QPS with concurrent clients).
+* **query tasks** — parse, compile and execute one whole SPARQL query on the
+  worker's own read-only session.  This is the only thing
+  ``execution_mode="process"`` means: whole queries run on worker processes
+  (inter-query parallelism, which is what scales QPS past the GIL), while
+  joins inside a query stay on the worker's thread runtime.
+* **warm tasks** — decode one stored table inside the worker, filling its
+  segment caches.  The scheduler uses these to prewarm broadcast-sized tables
+  across the pool.
 
 Each worker process opens the stored dataset **read-only, once**, and keeps
 its decoded segment caches keyed by the manifest's append epoch: a task
-carrying a newer epoch than the worker's session makes the worker re-read the
-manifest (the store's atomic-rename commit point makes that safe against a
-concurrent append in the parent).  Workers never write — appends and
-compactions stay in the owning session's process.
-
-Join tasks are self-contained (they never touch the dataset), so the pool
-also works as a pure compute pool; only scan/query tasks require the dataset.
-
-Everything that crosses the process boundary is a plain picklable structure:
-``ColumnBatch`` objects are stripped of their (unpicklable, dictionary-bound)
-``decode`` callable on the way out and re-attached on the way back in.
+carrying a different epoch than the worker's session makes the worker re-read
+the manifest (the store's atomic-rename commit point makes that safe against
+a concurrent append in the parent).  A concurrent compaction may delete the
+segment files of the snapshot a worker holds; segment files are immutable and
+uniquely named, so a task that hits a missing file re-reads the committed
+manifest and runs once more.  Workers never write — appends and compactions
+stay in the owning session's process, which also records every query in its
+registry and journal.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
 import multiprocessing
-import time
+import os
+from concurrent.futures import ProcessPoolExecutor
+from typing import Any, Callable, Dict, Optional, Sequence
 
-from repro.engine.metrics import ExecutionMetrics
-from repro.engine.relation import Relation
-from repro.engine.vectorized import ColumnBatch
+from repro.obs.journal import fingerprint_text, template_text
 
 #: Default worker count: enough to matter, small enough for CI machines.
 DEFAULT_WORKER_PROCESSES = max(1, min(8, (os.cpu_count() or 2)))
@@ -65,41 +51,6 @@ def _mp_context():
 
 
 # --------------------------------------------------------------------- #
-# Wire format: pack/unpack relations and id batches
-# --------------------------------------------------------------------- #
-def _poison_decode(id_: int) -> Any:  # pragma: no cover - guard
-    raise RuntimeError(
-        "this ColumnBatch crossed a process boundary without a decoder; "
-        "join kernels must not decode ids"
-    )
-
-
-def pack_input(value: Any) -> Tuple[str, Any]:
-    """Serialize one join input (``Relation`` or ``ColumnBatch``) for the wire."""
-    if isinstance(value, ColumnBatch):
-        selection = value.selection
-        return ("batch", (value.columns, value.ids, selection))
-    if isinstance(value, Relation):
-        return ("relation", (value.columns, value.rows))
-    raise TypeError(f"cannot ship {type(value).__name__} to a partition worker")
-
-
-def unpack_input(packed: Tuple[str, Any], decode: Optional[Callable[[int], Any]] = None) -> Any:
-    """Rebuild a shipped join input; ``decode`` re-attaches the dictionary."""
-    kind, payload = packed
-    if kind == "batch":
-        columns, ids, selection = payload
-        return ColumnBatch(
-            columns,
-            [array("q", column) if not isinstance(column, array) else column for column in ids],
-            decode if decode is not None else _poison_decode,
-            selection=selection,
-        )
-    columns, rows = payload
-    return Relation(columns, rows)
-
-
-# --------------------------------------------------------------------- #
 # Worker-side state and task entry points (must stay module-level picklable)
 # --------------------------------------------------------------------- #
 _WORKER_DATASET_PATH: Optional[str] = None
@@ -107,11 +58,11 @@ _WORKER_SESSION_KNOBS: Dict[str, Any] = {}
 _WORKER_SESSION = None
 
 
-def _worker_init(dataset_path: Optional[str], session_knobs: Dict[str, Any]) -> None:
+def _worker_init(dataset_path: str, session_knobs: Dict[str, Any]) -> None:
     global _WORKER_DATASET_PATH, _WORKER_SESSION_KNOBS, _WORKER_SESSION
     _WORKER_DATASET_PATH = dataset_path
     _WORKER_SESSION_KNOBS = dict(session_knobs)
-    _WORKER_SESSION = None  # opened lazily by the first scan/query task
+    _WORKER_SESSION = None  # opened lazily by the first task
 
 
 def _worker_session(epoch: Optional[int] = None):
@@ -123,8 +74,6 @@ def _worker_session(epoch: Optional[int] = None):
     effect ``(table, segment, epoch)``.
     """
     global _WORKER_SESSION
-    if _WORKER_DATASET_PATH is None:
-        raise RuntimeError("this worker pool was created without a dataset path")
     if _WORKER_SESSION is None:
         from repro.core.session import S2RDFSession
 
@@ -146,59 +95,50 @@ def _worker_session(epoch: Optional[int] = None):
     return _WORKER_SESSION
 
 
-def _run_join_task(task: Dict[str, Any]) -> Tuple[Tuple[str, Any], int, float]:
-    """Execute one shipped partition join: returns (packed result, comparisons, ms)."""
-    left = unpack_input(task["left"])
-    right = unpack_input(task["right"])
-    scratch = ExecutionMetrics()
-    start = time.perf_counter()
-    if task["outer"]:
-        joined = left.left_outer_join(right, scratch)
-    else:
-        joined = left.natural_join(right, scratch)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return pack_input(joined), scratch.join_comparisons, elapsed_ms
+def _snapshot_read(session, read: Callable[[], Any]) -> Any:
+    """Run ``read``, re-reading the manifest once if a segment file is gone.
+
+    A compaction in the parent deletes the delta segments it folded, which
+    the snapshot this worker holds may still reference.  Segment files are
+    immutable and uniquely named, so re-reading the committed manifest and
+    running ``read`` again is a clean read of the newer snapshot.
+    """
+    try:
+        return read()
+    except FileNotFoundError:
+        session._refresh_from_store()
+        return read()
 
 
-def _run_scan_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Scan (and thereby cache) one stored table inside the worker."""
-    session = _worker_session(task.get("epoch"))
-    scan = session.layout.catalog.scan(
-        task["table"], columns=task.get("columns"), conditions=task.get("conditions")
-    )
-    out: Dict[str, Any] = {
-        "rows_scanned": scan.rows_scanned,
-        "segments_scanned": scan.segments_scanned,
-        "segments_pruned": scan.segments_pruned,
-        "epoch": session._journal_epoch,
-    }
-    if task.get("return_rows", True):
-        out["relation"] = pack_input(scan.relation)
-    return out
+def _run_warm_task(task: Dict[str, Any]) -> None:
+    """Decode (and thereby cache) one stored table inside the worker."""
+    session = _worker_session(task["epoch"])
+    _snapshot_read(session, lambda: session.layout.catalog.scan(task["table"]))
 
 
 def _run_query_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one whole SPARQL query on the worker's read-only session."""
-    session = _worker_session(task.get("epoch"))
-    observed = task.get("observed") or {}
-    if observed and session._journal_epoch == task.get("epoch"):
-        # Cross-query cardinality sharing: observations the parent scheduler
-        # collected (from any worker or the parent itself) seed this worker's
-        # planner, keyed on the epoch they were observed at.
+    """Execute one whole SPARQL query on the worker's read-only session.
+
+    The query is parsed once; the template, fingerprint and root estimate the
+    parent journals all come from that parse.
+    """
+    session = _worker_session(task["epoch"])
+    observed = task["observed"]
+    if observed and session._journal_epoch == task["epoch"]:
+        # Cross-query cardinality sharing: observations the parent collected
+        # (from any worker) seed this worker's planner, keyed on the epoch
+        # they were observed at.
         for name, rows in observed.items():
             session.layout.catalog.record_observed(name, rows)
-    result = session.query(task["query"])
-    from repro.obs.journal import fingerprint_text, template_text
-
-    parsed = session.parse(task["query"])
-    template = template_text(parsed)
+    run = _snapshot_read(session, lambda: session._run(task["query"], estimate_root=True))
+    template = template_text(run.parsed)
     return {
-        "result": result,
+        "result": run.result,
         "template": template,
         "fingerprint": fingerprint_text(template),
-        "epoch": session._journal_epoch,
+        "estimated_rows": run.root_estimate,
+        "epoch": run.result.epoch,
         "observed": dict(session.layout.catalog._observed),
-        "pid": os.getpid(),
     }
 
 
@@ -206,18 +146,16 @@ def _run_query_task(task: Dict[str, Any]) -> Dict[str, Any]:
 # The pool
 # --------------------------------------------------------------------- #
 class PartitionWorkerPool:
-    """A persistent pool of partition worker processes.
+    """A persistent pool of query worker processes over one stored dataset.
 
-    ``dataset_path`` may be ``None`` for a pure join-task compute pool;
-    scan and query tasks then raise.  The pool is safe to share between the
-    session's per-thread executors and the scheduler — submission is
-    thread-safe and workers are stateless between tasks apart from their
-    epoch-keyed caches.
+    The pool is safe to share between the session's query threads and the
+    scheduler — submission is thread-safe and workers are stateless between
+    tasks apart from their epoch-keyed caches.
     """
 
     def __init__(
         self,
-        dataset_path: Optional[str] = None,
+        dataset_path: str,
         num_workers: Optional[int] = None,
         session_knobs: Optional[Dict[str, Any]] = None,
     ) -> None:
@@ -268,63 +206,23 @@ class PartitionWorkerPool:
     # ------------------------------------------------------------------ #
     # Task APIs
     # ------------------------------------------------------------------ #
-    def run_join_tasks(
-        self, tasks: Sequence[Dict[str, Any]], decode: Optional[Callable[[int], Any]] = None
-    ) -> List[Tuple[Any, int, float]]:
-        """Run shipped join tasks; results come back in task order.
-
-        ``decode`` re-attaches the dataset dictionary to id-batch results
-        (join kernels compare raw ids, so workers never need it).
-        """
-        out = []
-        for packed, comparisons, elapsed_ms in self._pool().map(_run_join_task, tasks):
-            out.append((unpack_input(packed, decode), comparisons, elapsed_ms))
-        return out
-
-    def scan_table(
-        self,
-        table: str,
-        columns: Optional[Sequence[str]] = None,
-        conditions: Optional[Dict[str, Any]] = None,
-        epoch: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        """Scan one stored table in a worker, returning rows + scan counters."""
-        result = self._pool().submit(
-            _run_scan_task,
-            {
-                "table": table,
-                "columns": list(columns) if columns is not None else None,
-                "conditions": dict(conditions) if conditions else None,
-                "epoch": epoch,
-            },
-        ).result()
-        if "relation" in result:
-            result["relation"] = unpack_input(result["relation"])
-        return result
-
     def warm_tables(self, tables: Sequence[str], epoch: Optional[int] = None) -> int:
         """Best-effort cache warming: ask the pool to decode ``tables``.
 
-        One scan task per (table, worker-slot) is submitted without returning
-        rows, so idle workers populate their segment caches for the tables
-        the scheduler expects to be broadcast.  Returns the number of scan
-        tasks that completed (workers that were busy may be warmed by fewer
-        tasks — this is an optimisation, never a correctness hook).
+        One warm task per (table, worker slot) is submitted, so idle workers
+        populate their segment caches for the tables the scheduler expects to
+        be broadcast.  Returns the number of warm tasks that completed
+        (workers that were busy may be warmed by fewer tasks — this is an
+        optimisation, never a correctness hook).
         """
-        futures = []
-        for _ in range(self.num_workers):
-            for table in tables:
-                futures.append(
-                    self._pool().submit(
-                        _run_scan_task,
-                        {"table": table, "epoch": epoch, "return_rows": False},
-                    )
-                )
-        done = 0
+        futures = [
+            self._pool().submit(_run_warm_task, {"table": table, "epoch": epoch})
+            for _ in range(self.num_workers)
+            for table in tables
+        ]
         for future in futures:
             future.result()
-            done += 1
-        return done
+        return len(futures)
 
     def run_query(
         self,
@@ -332,21 +230,14 @@ class PartitionWorkerPool:
         epoch: Optional[int] = None,
         observed: Optional[Dict[str, int]] = None,
     ) -> Dict[str, Any]:
-        """Execute one whole query on a worker; returns the full QueryResult
-        plus sharing metadata (template/fingerprint/epoch/observed rows)."""
+        """Execute one whole query on a worker.
+
+        Returns the :class:`~repro.core.results.QueryResult` under
+        ``"result"`` plus what the parent records: the query's ``template``
+        and ``fingerprint``, the planner's root ``estimated_rows``, the
+        ``epoch`` the worker read and the cardinalities it ``observed``.
+        """
         return self._pool().submit(
             _run_query_task,
             {"query": query_text, "epoch": epoch, "observed": dict(observed or {})},
         ).result()
-
-    def submit_query(
-        self,
-        query_text: str,
-        epoch: Optional[int] = None,
-        observed: Optional[Dict[str, int]] = None,
-    ):
-        """Like :meth:`run_query` but returns the future (scheduler hot path)."""
-        return self._pool().submit(
-            _run_query_task,
-            {"query": query_text, "epoch": epoch, "observed": dict(observed or {})},
-        )

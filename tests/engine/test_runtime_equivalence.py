@@ -12,8 +12,8 @@ that carries pending (uncompacted) delta segments from an incremental
 append, the same stored dataset with the vectorized id-column kernels
 enabled, the sqlite SQL-lowering backend (both over the warm catalog
 and over the delta-carrying stored dataset), and the stored dataset
-executed with ``execution_mode="process"`` — join tasks dispatched to
-partition worker processes."""
+executed with ``execution_mode="process"`` — whole queries run on worker
+processes."""
 
 import random
 
@@ -237,9 +237,9 @@ def differential_setup(small_dataset, tmp_path_factory):
     sqlite_executor = SqliteExecutor(warm.layout.catalog)
     stored_sql = S2RDFSession.open_dataset(path, engine="sqlite")
     stored_vec = S2RDFSession.open_dataset(path, tracing_enabled=True, vectorized_enabled=True)
-    # Seventh path: process-based partition workers over the same
-    # delta-carrying dataset — co-partitioned join tasks execute in separate
-    # worker processes and ship packed id batches back over the wire.
+    # Seventh path: process workers over the same delta-carrying dataset —
+    # each whole query runs on a worker process's own read-only session and
+    # its decoded result comes back over the wire.
     stored_proc = S2RDFSession.open_dataset(
         path, execution_mode="process", worker_processes=2, vectorized_enabled=True
     )

@@ -1,12 +1,14 @@
 """Concurrency stress: many client threads through one scheduler while the
-dataset grows underneath them via append_triples.
+dataset grows underneath them via append_triples and is compacted in between.
 
 Every query runs against *some* committed manifest snapshot; the epoch
 stamped on its result tells us which one.  The test precomputes the expected
-bag of answers for every (query, epoch) pair by replaying the appends
+bag of answers for every (query, epoch) pair by replaying the same writes
 serially, then checks each concurrent result against the reference for its
 own epoch — catching torn reads (a query seeing half an append) as well as
-stale-cache bugs (a query reporting epoch N with epoch N-1's rows)."""
+stale-cache bugs (a query reporting epoch N with epoch N-1's rows).  In
+process mode the queries run on worker processes, whose snapshots a
+compaction can delete segment files from mid-query."""
 
 import threading
 
@@ -48,27 +50,40 @@ def bag(relation):
     return sorted(map(repr, relation.rows))
 
 
-@pytest.mark.parametrize("execution_mode", ["thread"])
+def write(session, round_index: int, compact: bool) -> None:
+    """Commit one write of round ``round_index``; each advances the epoch."""
+    if compact:
+        assert session.compact().tables_compacted
+    else:
+        report = session.append_triples(batch(round_index))
+        assert report.triples_appended == len(batch(round_index))
+
+
+#: Each round appends a batch, then compacts it away: two epochs per round.
+WRITES = [(round_index, compact) for round_index in range(ROUNDS) for compact in (False, True)]
+
+
+@pytest.mark.parametrize("execution_mode", ["thread", "process"])
 def test_concurrent_queries_see_consistent_epochs(tmp_path, execution_mode):
     path = str(tmp_path / "dataset")
     repro.create(base_graph(), path=path, num_partitions=2).close()
 
-    # Serial replay: reference bags per (query, epoch).  Epoch e holds the
-    # base dataset plus append batches 0..e-1.
+    # Serial replay: reference bags per (query, epoch).  Epoch e is the base
+    # dataset after the first e writes.
     reference = {}
     with repro.connect(path, journal_enabled=False) as serial:
-        for epoch in range(ROUNDS + 1):
+        for epoch in range(len(WRITES) + 1):
             assert serial._journal_epoch == epoch
             for name, text in QUERIES.items():
                 reference[(name, epoch)] = bag(serial.query(text).relation)
-            if epoch < ROUNDS:
-                serial.append_triples(batch(epoch))
+            if epoch < len(WRITES):
+                write(serial, *WRITES[epoch])
     # The appends really changed the answers (the test would be vacuous).
-    assert reference[("scan", 0)] != reference[("scan", ROUNDS)]
+    assert reference[("scan", 0)] != reference[("scan", len(WRITES))]
 
     path2 = str(tmp_path / "dataset2")
     repro.create(base_graph(), path=path2, num_partitions=2).close()
-    session = repro.connect(path2, execution_mode=execution_mode)
+    session = repro.connect(path2, execution_mode=execution_mode, worker_processes=2)
     failures = []
     stop = threading.Event()
 
@@ -94,22 +109,21 @@ def test_concurrent_queries_see_consistent_epochs(tmp_path, execution_mode):
             ]
             for thread in threads:
                 thread.start()
-            # Interleave the appends with the query storm: each commit
+            # Interleave the writes with the query storm: each commit
             # atomically advances the manifest epoch.
-            for round_index in range(ROUNDS):
-                report = session.append_triples(batch(round_index))
-                assert report.triples_appended == len(batch(round_index))
+            for round_index, compact in WRITES:
+                write(session, round_index, compact)
             stop.set()
             for thread in threads:
                 thread.join(timeout=120)
                 assert not thread.is_alive()
             scheduler.drain(timeout=120)
         assert not failures, failures[:5]
-        assert session._journal_epoch == ROUNDS
+        assert session._journal_epoch == len(WRITES)
 
         # Every journaled record carries an epoch the manifest actually
         # committed, and the journal survives in the dataset directory.
         records = session.journal.records()
         assert records
-        assert all(0 <= record.epoch <= ROUNDS for record in records)
+        assert all(0 <= record.epoch <= len(WRITES) for record in records)
         assert all(record.queue_ms is not None for record in records)

@@ -182,3 +182,19 @@ def test_closed_scheduler_rejects_submissions(session):
     scheduler.close()
     with pytest.raises(RuntimeError, match="closed"):
         scheduler.submit(Q_LOW)
+
+
+@pytest.mark.parametrize("execution_mode", ["thread", "process"])
+def test_prewarm_decodes_only_where_queries_run(tmp_path, example_graph, execution_mode):
+    path = str(tmp_path / "dataset")
+    repro.create(example_graph, path=path).close()
+    with repro.connect(path, execution_mode=execution_mode, worker_processes=1) as session:
+        catalog = session.layout.catalog
+        tables = [name for name in catalog.table_names() if catalog.is_stored(name)][:2]
+        assert len(tables) == 2 and not any(catalog.is_loaded(name) for name in tables)
+        with session.serve() as scheduler:
+            assert scheduler.prewarm(tables, epoch=session._journal_epoch) == len(tables)
+        # Thread mode decodes into the parent's catalog; process mode leaves
+        # the decoding to the workers, which execute the queries.
+        loaded = [catalog.is_loaded(name) for name in tables]
+        assert loaded == [execution_mode == "thread"] * len(tables)

@@ -1,62 +1,16 @@
-"""Partition worker pool: wire format, join/scan/query tasks and epoch
-refresh inside the workers."""
-
-from array import array
+"""Query worker pool: whole-query and warm tasks, epoch refresh inside the
+workers, and the snapshot re-read after a concurrent compaction."""
 
 import pytest
 
 from repro.core.session import S2RDFSession
-from repro.engine.relation import Relation
-from repro.engine.vectorized import ColumnBatch
 from repro.rdf.graph import Graph
 from repro.rdf.triple import Triple
-from repro.serve.workers import (
-    PartitionWorkerPool,
-    pack_input,
-    unpack_input,
-)
+from repro.serve.workers import PartitionWorkerPool
 
 
 def bag(relation):
     return sorted(map(repr, relation.rows))
-
-
-# --------------------------------------------------------------------------- #
-# Wire format
-# --------------------------------------------------------------------------- #
-def test_relation_roundtrip():
-    relation = Relation(("a", "b"), [(1, 2), (3, 4)])
-    rebuilt = unpack_input(pack_input(relation))
-    assert isinstance(rebuilt, Relation)
-    assert rebuilt.columns == relation.columns
-    assert bag(rebuilt) == bag(relation)
-
-
-def test_batch_roundtrip_reattaches_decoder():
-    batch = ColumnBatch(
-        ("a", "b"),
-        [array("q", [1, 2, 3]), array("q", [4, 5, 6])],
-        decode=lambda id_: f"term{id_}",
-        selection=[0, 2],
-    )
-    packed = pack_input(batch)
-    rebuilt = unpack_input(packed, decode=lambda id_: f"term{id_}")
-    assert isinstance(rebuilt, ColumnBatch)
-    assert rebuilt.columns == batch.columns
-    assert list(rebuilt.selection) == [0, 2]
-    assert bag(rebuilt.to_relation()) == bag(batch.to_relation())
-
-
-def test_batch_without_decoder_poisons_decode():
-    batch = ColumnBatch(("a",), [array("q", [7])], decode=lambda id_: id_)
-    rebuilt = unpack_input(pack_input(batch))
-    with pytest.raises(RuntimeError, match="without a decoder"):
-        rebuilt.decode(7)
-
-
-def test_pack_input_rejects_foreign_types():
-    with pytest.raises(TypeError, match="cannot ship"):
-        pack_input({"not": "shippable"})
 
 
 # --------------------------------------------------------------------------- #
@@ -77,37 +31,20 @@ def stored(tmp_path_factory):
     session.close()
 
 
-def test_join_tasks_without_dataset_act_as_compute_pool():
-    left = Relation(("a", "b"), [(1, 10), (2, 20)])
-    right = Relation(("b", "c"), [(10, 100), (20, 200), (30, 300)])
-    with PartitionWorkerPool(num_workers=2) as pool:
-        ((joined, comparisons, elapsed_ms),) = pool.run_join_tasks(
-            [{"left": pack_input(left), "right": pack_input(right), "outer": False}]
-        )
-        assert bag(joined) == bag(left.natural_join(right))
-        assert comparisons > 0
-        assert elapsed_ms >= 0.0
-        # Outer joins preserve the unmatched left row.
-        wider = Relation(("a", "b"), [(1, 10), (9, 99)])
-        ((outer, _, _),) = pool.run_join_tasks(
-            [{"left": pack_input(wider), "right": pack_input(right), "outer": True}]
-        )
-        assert len(outer.rows) == 2
+def test_pool_requires_dataset_path():
+    with pytest.raises(TypeError):
+        PartitionWorkerPool(num_workers=1)
 
 
-def test_scan_and_query_tasks_require_dataset():
-    with PartitionWorkerPool(num_workers=1) as pool:
-        with pytest.raises(RuntimeError, match="without a dataset path"):
-            pool.scan_table("triples")
-
-
-def test_scan_task_runs_in_worker(stored):
+def test_warm_tables_scans_in_every_worker_slot(stored):
     path, session = stored
-    with PartitionWorkerPool(dataset_path=path, num_workers=1) as pool:
-        out = pool.scan_table("triples", epoch=session._journal_epoch)
-        assert out["rows_scanned"] == 40
-        assert out["epoch"] == session._journal_epoch
-        assert len(out["relation"].rows) == 40
+    epoch = session._journal_epoch
+    with PartitionWorkerPool(dataset_path=path, num_workers=2) as pool:
+        assert pool.warm_tables(["triples", "vp_follows"], epoch=epoch) == 4
+        # The warmed worker answers from the same snapshot.
+        outcome = pool.run_query("SELECT * WHERE { ?s ?p ?o }", epoch=epoch)
+        assert len(outcome["result"].relation.rows) == 40
+        assert outcome["epoch"] == epoch
 
 
 def test_query_task_matches_parent_session(stored):
@@ -119,6 +56,8 @@ def test_query_task_matches_parent_session(stored):
         assert bag(outcome["result"].relation) == bag(expected.relation)
         assert outcome["epoch"] == session._journal_epoch
         assert outcome["fingerprint"]
+        assert outcome["template"]
+        assert outcome["estimated_rows"] is not None
         assert outcome["observed"]  # the worker observed real cardinalities
 
 
@@ -150,3 +89,36 @@ def test_start_brings_up_all_workers(stored):
     assert pool.started
     pool.close()
     assert not pool.started
+
+
+def test_worker_rereads_snapshot_after_compaction_deleted_its_segments(tmp_path):
+    graph = Graph(
+        [Triple.of(f"u{i}", "follows", f"u{(i + 1) % 10}") for i in range(10)]
+        + [Triple.of(f"u{i}", "likes", f"i{i % 3}") for i in range(10)]
+    )
+    saver = S2RDFSession.from_graph(graph, num_partitions=2, journal_enabled=False)
+    path = str(tmp_path / "dataset")
+    saver.save_dataset(path)
+    saver.close()
+    session = S2RDFSession.open_dataset(path, journal_enabled=False)
+    session.append_triples(
+        [Triple.of("new", "follows", "u0"), Triple.of("new", "likes", "i9")]
+    )
+    stale = session._journal_epoch
+    likes = "SELECT * WHERE { ?a <likes> ?w }"
+    with PartitionWorkerPool(dataset_path=path, num_workers=1) as pool:
+        # The worker now holds the post-append snapshot, but has decoded
+        # only the follows table.
+        pool.run_query("SELECT * WHERE { ?a <follows> ?b }", epoch=stale)
+        # The compaction folds (and deletes) the delta segments that
+        # snapshot still references.
+        assert session.compact().tables_compacted
+        assert session._journal_epoch == stale + 1
+        # A task scheduled before the compaction carries the stale epoch, so
+        # the worker does not refresh up front; its first read of the likes
+        # table hits a deleted segment, and it re-reads the manifest.
+        outcome = pool.run_query(likes, epoch=stale)
+    assert outcome["epoch"] == session._journal_epoch
+    assert outcome["result"].epoch == session._journal_epoch
+    assert bag(outcome["result"].relation) == bag(session.query(likes).relation)
+    session.close()
